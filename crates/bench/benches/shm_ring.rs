@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use cartcomm_comm::envelope::Envelope;
+use cartcomm_comm::obs::Obs;
 use cartcomm_comm::transport::shm::ShmTransport;
 use cartcomm_comm::transport::Transport;
 use cartcomm_comm::WirePool;
@@ -18,7 +19,8 @@ use std::hint::black_box;
 
 fn bench_shm_frames(c: &mut Criterion) {
     let pools: Vec<Arc<WirePool>> = (0..2).map(|_| Arc::new(WirePool::new())).collect();
-    let (t, mut rxs) = ShmTransport::for_threads(2, &pools).expect("shm scratch universe");
+    let obs: Vec<Arc<Obs>> = (0..2).map(|_| Arc::new(Obs::new())).collect();
+    let (t, mut rxs) = ShmTransport::for_threads(2, &pools, &obs).expect("shm scratch universe");
     let rx = rxs.remove(1);
 
     let mut g = c.benchmark_group("shm_frame");

@@ -234,3 +234,37 @@ fn metrics_counters_match_trace() {
         assert_eq!(completed, traced, "rank {rank}: completions mismatch");
     }
 }
+
+#[test]
+fn compiled_alltoall_wakes_each_rank_at_most_once_per_round() {
+    // A persistent (compiled) combining alltoall on 3-D Moore at p=2:
+    // whether the inboxes spin or park, a rank pays at most one OS
+    // wake-up per round — at most C per operation (Prop. 3.2's C) — and
+    // never more wakes than parks.
+    const OPS: u64 = 300;
+    let nb = RelNeighborhood::moore(3, 1).unwrap();
+    let t = nb.len();
+    let outs = Universe::builder(2).run(|comm| {
+        let cart = CartComm::create(comm, &[2, 1, 1], &[true; 3], nb.clone()).unwrap();
+        let c = cart.plans().alltoall().rounds as u64;
+        let mut h = cart.alltoall_init::<i32>(1, Algo::Combining).unwrap();
+        assert!(h.compiled().is_some(), "combining alltoall runs compiled");
+        let send: Vec<i32> = (0..t as i32).collect();
+        let mut recv = vec![0i32; t];
+        h.execute_typed(&cart, &send, &mut recv).unwrap();
+        let before = cart.comm().metrics();
+        for _ in 0..OPS {
+            h.execute_typed(&cart, &send, &mut recv).unwrap();
+        }
+        (cart.comm().obs().metrics().delta_since(&before), c)
+    });
+    for (rank, (d, c)) in outs.into_iter().enumerate() {
+        assert_eq!(d.rounds_completed, c * OPS, "rank {rank}");
+        assert!(
+            d.inbox_wakes <= c * OPS,
+            "rank {rank}: {} wakes over {OPS} ops of C = {c}",
+            d.inbox_wakes
+        );
+        assert!(d.inbox_wakes <= d.inbox_parks, "rank {rank}: {d}");
+    }
+}

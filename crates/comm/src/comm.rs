@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use cartcomm_obs::{MetricsSnapshot, Obs, TraceEvent};
-use crossbeam_channel::Receiver;
 use parking_lot::Mutex;
 
 use cartcomm_types::{cast_slice, cast_slice_mut, gather, scatter_prefix, FlatType, Pod};
@@ -13,6 +12,7 @@ use cartcomm_types::{cast_slice, cast_slice_mut, gather, scatter_prefix, FlatTyp
 use crate::envelope::{Envelope, SrcSel, Tag, TagSel};
 use crate::error::{CommError, CommResult};
 use crate::fabric::Fabric;
+use crate::inbox::Inbox;
 use crate::pool::{PoolStats, PooledBuf, WirePool};
 use crate::reliable::{RelState, Reliability, RetryPolicy, RELIABLE_TICK};
 
@@ -160,7 +160,7 @@ impl ExchangeBatch {
 
 /// Per-rank state shared between a communicator and its duplicates.
 pub(crate) struct RankCore {
-    pub(crate) rx: Receiver<Envelope>,
+    pub(crate) rx: Inbox,
     /// Unexpected-message queue, in arrival order.
     pub(crate) pending: Mutex<VecDeque<Envelope>>,
     /// Next context id for `dup` (kept identical across ranks because dup is
@@ -178,7 +178,7 @@ pub(crate) struct RankCore {
 /// A communicator handle owned by one rank's thread.
 ///
 /// Cheap to clone contexts from via [`Comm::dup`]; all duplicates of one rank
-/// share the underlying channel but match messages in disjoint contexts.
+/// share the underlying inbox but match messages in disjoint contexts.
 pub struct Comm {
     pub(crate) rank: usize,
     size: usize,
@@ -194,7 +194,7 @@ pub struct Comm {
 }
 
 impl Comm {
-    pub(crate) fn new(rank: usize, fabric: Arc<Fabric>, rx: Receiver<Envelope>) -> Self {
+    pub(crate) fn new(rank: usize, fabric: Arc<Fabric>, rx: Inbox) -> Self {
         let size = fabric.size();
         let pool = Arc::clone(fabric.pool(rank));
         let obs = Arc::clone(fabric.obs(rank));
@@ -387,7 +387,7 @@ impl Comm {
     }
 
     /// Pull one envelope matching (ctx, src, tag): first from the
-    /// unexpected queue in arrival order, then from the channel. All
+    /// unexpected queue in arrival order, then from the inbox. All
     /// arrivals pass through the reliable intake (`reliable.rs`), so
     /// duplicates and out-of-order sequenced traffic never reach matching.
     fn match_one(&self, ctx: u32, src: SrcSel, tag: TagSel) -> CommResult<Envelope> {
@@ -404,25 +404,17 @@ impl Comm {
         }
     }
 
-    /// One blocking channel receive. On a lossy fabric this pumps the
+    /// One blocking inbox receive. On a lossy fabric this pumps the
     /// fault plane between short waits so delayed/reordered envelopes keep
     /// draining even while this rank only ever blocks in receives.
     fn recv_one(&self, _pending: &mut VecDeque<Envelope>) -> CommResult<Envelope> {
         if !self.fabric.lossy() {
-            return self.core.rx.recv().map_err(|_| CommError::Disconnected {
-                peer: "fabric".into(),
-            });
+            return Ok(self.core.rx.recv()?);
         }
         loop {
             self.fabric.poll(self.rank)?;
-            match self.core.rx.recv_timeout(RELIABLE_TICK) {
-                Ok(env) => return Ok(env),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected {
-                        peer: "fabric".into(),
-                    })
-                }
+            if let Some(env) = self.core.rx.recv_timeout(RELIABLE_TICK)? {
+                return Ok(env);
             }
         }
     }
@@ -462,7 +454,7 @@ impl Comm {
         self.fabric.poll(self.rank)?;
         let mut pending = self.core.pending.lock();
         // drain whatever has arrived so far
-        while let Ok(env) = self.core.rx.try_recv() {
+        while let Some(env) = self.core.rx.try_recv() {
             self.intake(env, &mut pending);
         }
         Ok(pending

@@ -79,6 +79,15 @@ impl From<crate::transport::TransportError> for CommError {
     }
 }
 
+impl From<crate::inbox::Closed> for CommError {
+    /// The rank's own inbox lost every sender: the fabric is gone.
+    fn from(_: crate::inbox::Closed) -> Self {
+        CommError::Disconnected {
+            peer: "fabric".into(),
+        }
+    }
+}
+
 /// Result alias for communication operations.
 pub type CommResult<T> = Result<T, CommError>;
 

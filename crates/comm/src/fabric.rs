@@ -2,7 +2,7 @@
 //! layered over a pluggable [`Transport`].
 //!
 //! The fabric is the stand-in for the cluster network. Each rank owns
-//! the receiving end of one envelope channel; any rank may deposit an
+//! one [`Inbox`]; any rank may deposit an
 //! [`Envelope`] toward any other rank, and the backend ([`Transport`])
 //! guarantees per-link FIFO delivery — the MPI *non-overtaking*
 //! guarantee per (source, context, tag) the matching engine builds on.
@@ -26,11 +26,11 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cartcomm_obs::{Obs, TraceEvent};
-use crossbeam_channel::Receiver;
 use parking_lot::RwLock;
 
 use crate::envelope::Envelope;
 use crate::fault::{FaultPlane, FaultSpec, FaultStats};
+use crate::inbox::Inbox;
 use crate::pool::WirePool;
 use crate::transport::inproc::InProcTransport;
 use crate::transport::shm::ShmTransport;
@@ -41,6 +41,10 @@ fn make_pools(p: usize) -> Vec<Arc<WirePool>> {
     (0..p).map(|_| Arc::new(WirePool::new())).collect()
 }
 
+fn make_obs(p: usize) -> Vec<Arc<Obs>> {
+    (0..p).map(|_| Arc::new(Obs::new())).collect()
+}
+
 /// Shared interconnect state for a universe of `p` ranks.
 pub struct Fabric {
     transport: Box<dyn Transport>,
@@ -49,7 +53,7 @@ pub struct Fabric {
     /// backends instead decode into the receiving rank's pool.
     pools: Vec<Arc<WirePool>>,
     /// Per-rank observability handles; `deposit` credits the sender's
-    /// wire-byte counters here.
+    /// wire-byte counters here, each rank's inbox its wait counters.
     obs: Vec<Arc<Obs>>,
     /// Installed fault plane, if any. `None` means the fabric is the
     /// perfect transport it always was.
@@ -64,12 +68,15 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    fn wrap(transport: Box<dyn Transport>, pools: Vec<Arc<WirePool>>) -> Fabric {
-        let p = transport.size();
+    fn wrap(
+        transport: Box<dyn Transport>,
+        pools: Vec<Arc<WirePool>>,
+        obs: Vec<Arc<Obs>>,
+    ) -> Fabric {
         Fabric {
             transport,
             pools,
-            obs: (0..p).map(|_| Arc::new(Obs::new())).collect(),
+            obs,
             faults: RwLock::new(None),
             lossy: AtomicBool::new(false),
             msg_count: std::sync::atomic::AtomicU64::new(0),
@@ -77,54 +84,50 @@ impl Fabric {
         }
     }
 
-    /// Create an in-process fabric and hand back the per-rank receiving
-    /// ends. This is the default, infallible fast path.
-    pub fn new(p: usize) -> (Fabric, Vec<Receiver<Envelope>>) {
-        let (t, rxs) = InProcTransport::new(p);
-        (Fabric::wrap(Box::new(t), make_pools(p)), rxs)
+    /// Create an in-process fabric and hand back the per-rank inboxes.
+    /// This is the default, infallible fast path.
+    pub fn new(p: usize) -> (Fabric, Vec<Inbox>) {
+        let obs = make_obs(p);
+        let (t, rxs) = InProcTransport::new(&obs);
+        (Fabric::wrap(Box::new(t), make_pools(p), obs), rxs)
     }
 
     /// Create a fabric on the named backend, all ranks local to this
     /// process. Only the in-process constructor is infallible; the
     /// others touch the filesystem or the network stack.
-    pub fn for_backend(
-        kind: TransportKind,
-        p: usize,
-    ) -> io::Result<(Fabric, Vec<Receiver<Envelope>>)> {
+    pub fn for_backend(kind: TransportKind, p: usize) -> io::Result<(Fabric, Vec<Inbox>)> {
         let pools = make_pools(p);
+        let obs = make_obs(p);
         let (transport, rxs): (Box<dyn Transport>, _) = match kind {
             TransportKind::InProcess => {
-                let (t, rxs) = InProcTransport::new(p);
+                let (t, rxs) = InProcTransport::new(&obs);
                 (Box::new(t), rxs)
             }
             TransportKind::SharedMem => {
-                let (t, rxs) = ShmTransport::for_threads(p, &pools)?;
+                let (t, rxs) = ShmTransport::for_threads(p, &pools, &obs)?;
                 (Box::new(t), rxs)
             }
             TransportKind::Uds => {
-                let (t, rxs) = SocketTransport::uds(p, &pools)?;
+                let (t, rxs) = SocketTransport::uds(p, &pools, &obs)?;
                 (Box::new(t), rxs)
             }
             TransportKind::Tcp => {
-                let (t, rxs) = SocketTransport::tcp(p, &pools)?;
+                let (t, rxs) = SocketTransport::tcp(p, &pools, &obs)?;
                 (Box::new(t), rxs)
             }
         };
-        Ok((Fabric::wrap(transport, pools), rxs))
+        Ok((Fabric::wrap(transport, pools, obs), rxs))
     }
 
     /// Attach to an existing shared-memory fabric file as one rank of a
     /// multi-process universe (see `Universe::spawn_processes`). Returns
-    /// the fabric and the local rank's receiving end.
-    pub fn attach_shm(
-        path: &Path,
-        p: usize,
-        rank: usize,
-    ) -> io::Result<(Fabric, Receiver<Envelope>)> {
+    /// the fabric and the local rank's inbox.
+    pub fn attach_shm(path: &Path, p: usize, rank: usize) -> io::Result<(Fabric, Inbox)> {
         let pools = make_pools(p);
-        let (t, mut endpoints) = ShmTransport::attach(path, p, &[rank], &pools, false)?;
+        let obs = make_obs(p);
+        let (t, mut endpoints) = ShmTransport::attach(path, p, &[rank], &pools, &obs, false)?;
         let (_, rx) = endpoints.pop().expect("one local endpoint");
-        Ok((Fabric::wrap(Box::new(t), pools), rx))
+        Ok((Fabric::wrap(Box::new(t), pools, obs), rx))
     }
 
     /// Which backend carries this fabric's envelopes.
@@ -230,7 +233,7 @@ impl Fabric {
 
     /// One receiver poll on `rank`: gives the backend a progress
     /// opportunity and releases due delayed/reordered envelopes from the
-    /// fault plane onto `rank`'s channel.
+    /// fault plane onto `rank`'s inbox.
     pub fn poll(&self, rank: usize) -> TransportResult<()> {
         self.transport.poll(rank)?;
         if let Some(plane) = self.fault_plane() {
@@ -289,8 +292,8 @@ mod tests {
         assert_eq!(env.src, 0);
         assert_eq!(env.tag, 7);
         assert_eq!(env.data, vec![1, 2, 3]);
-        assert!(rxs[0].try_recv().is_err());
-        assert!(rxs[1].try_recv().is_err());
+        assert!(rxs[0].try_recv().is_none());
+        assert!(rxs[1].try_recv().is_none());
     }
 
     #[test]
@@ -384,7 +387,7 @@ mod tests {
         fabric
             .deposit(1, Envelope::sequenced(0, 0, 5, 1, vec![9u8]))
             .unwrap();
-        assert!(rxs[1].try_recv().is_err(), "data envelope dropped");
+        assert!(rxs[1].try_recv().is_none(), "data envelope dropped");
         assert_eq!(fabric.fault_stats().unwrap().drops, 1);
         fabric.deposit(1, Envelope::ack(0, 0, 5, 1)).unwrap();
         let env = rxs[1].try_recv().expect("ack must bypass the plane");
@@ -399,9 +402,9 @@ mod tests {
         fabric
             .deposit(1, Envelope::new(0, 0, 5, vec![1u8]))
             .unwrap();
-        assert!(rxs[1].try_recv().is_err());
+        assert!(rxs[1].try_recv().is_none());
         fabric.poll(1).unwrap();
-        assert!(rxs[1].try_recv().is_err());
+        assert!(rxs[1].try_recv().is_none());
         fabric.poll(1).unwrap();
         assert_eq!(rxs[1].try_recv().unwrap().data, vec![1u8]);
     }
@@ -421,9 +424,24 @@ mod tests {
     }
 
     #[test]
+    fn in_process_inboxes_spin_only_when_every_rank_has_a_core() {
+        use crate::inbox::{host_cores, WaitMode};
+        let cores = host_cores();
+        let (_fabric, rxs) = Fabric::new(cores);
+        assert!(rxs.iter().all(|rx| rx.mode() == WaitMode::Spin));
+        let (_fabric, rxs) = Fabric::new(cores + 1);
+        assert!(rxs.iter().all(|rx| rx.mode() == WaitMode::Park));
+    }
+
+    #[test]
     fn remote_backend_fabric_round_trips_envelopes() {
         let (fabric, rxs) = Fabric::for_backend(TransportKind::SharedMem, 2).unwrap();
         assert_eq!(fabric.transport_kind(), TransportKind::SharedMem);
+        assert!(
+            rxs.iter()
+                .all(|rx| rx.mode() == crate::inbox::WaitMode::Park),
+            "remote backends park at once"
+        );
         fabric
             .deposit(1, Envelope::new(3, 0, 9, vec![7u8; 300]))
             .unwrap();
@@ -446,7 +464,8 @@ mod tests {
         assert!(
             rxs[1]
                 .recv_timeout(std::time::Duration::from_millis(50))
-                .is_err(),
+                .unwrap()
+                .is_none(),
             "data envelope dropped before the wire"
         );
         assert_eq!(fabric.fault_stats().unwrap().drops, 1);

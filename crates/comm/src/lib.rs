@@ -53,7 +53,7 @@
 //! # Transport backends
 //!
 //! Envelope delivery is pluggable ([`transport::Transport`], DESIGN.md
-//! §12): the default in-process channel fabric, a shared-memory ring
+//! §12): the default in-process inbox fabric, a shared-memory ring
 //! fabric spanning processes on one host
 //! ([`Universe::spawn_processes`]), and Unix-domain/TCP socket meshes.
 //! [`RunConfig::on`] picks the backend per run; everything
@@ -68,6 +68,7 @@ pub mod envelope;
 pub mod error;
 pub mod fabric;
 pub mod fault;
+pub mod inbox;
 pub mod pool;
 pub mod reliable;
 pub mod transport;

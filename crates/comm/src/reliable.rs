@@ -40,7 +40,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use cartcomm_obs::TraceEvent;
-use crossbeam_channel::RecvTimeoutError;
 
 use crate::comm::{find_slot, Comm, ExchangeBatch, ExchangeOpts, RecvSpec};
 use crate::envelope::{Envelope, SrcSel, Tag};
@@ -193,7 +192,7 @@ impl Comm {
     }
 
     /// Pump the fault plane once for this rank: releases due delayed and
-    /// reordered envelopes onto this rank's channel. Reliable exchanges
+    /// reordered envelopes onto this rank's inbox. Reliable exchanges
     /// pump automatically; raw receive paths on a lossy fabric do too.
     pub fn poll_faults(&self) {
         // Transport trouble during a pump is not actionable here; the
@@ -375,12 +374,10 @@ impl Comm {
 
             if !lossy {
                 // Perfect transport: block until the next arrival.
-                let env = self.core.rx.recv().map_err(|_| CommError::Disconnected {
-                    peer: "fabric".into(),
-                })?;
+                let env = self.core.rx.recv()?;
                 let mut pending = self.core.pending.lock();
                 self.intake(env, &mut pending);
-                while let Ok(e) = self.core.rx.try_recv() {
+                while let Some(e) = self.core.rx.try_recv() {
                     self.intake(e, &mut pending);
                 }
                 continue;
@@ -392,19 +389,11 @@ impl Comm {
                 self.clear_outstanding(&issued);
                 return Err(e.into());
             }
-            match self.core.rx.recv_timeout(RELIABLE_TICK) {
-                Ok(env) => {
-                    let mut pending = self.core.pending.lock();
-                    self.intake(env, &mut pending);
-                    while let Ok(e) = self.core.rx.try_recv() {
-                        self.intake(e, &mut pending);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected {
-                        peer: "fabric".into(),
-                    })
+            if let Some(env) = self.core.rx.recv_timeout(RELIABLE_TICK)? {
+                let mut pending = self.core.pending.lock();
+                self.intake(env, &mut pending);
+                while let Some(e) = self.core.rx.try_recv() {
+                    self.intake(e, &mut pending);
                 }
             }
 

@@ -1,11 +1,12 @@
-//! The in-process backend: one unbounded channel per rank.
+//! The in-process backend: one [`Inbox`] per rank.
 //!
 //! This is the original fabric interconnect, now behind the
 //! [`Transport`] trait. It is the zero-regression fast path: a deposit
-//! is a single channel send, payloads travel as
+//! is a single inbox push, payloads travel as
 //! [`PooledBuf`](crate::pool::PooledBuf)s (no serialization), and the
-//! channel's FIFO order provides the per-link non-overtaking guarantee
-//! directly.
+//! inbox's FIFO order provides the per-link non-overtaking guarantee
+//! directly. Inboxes spin before they park when every rank has a core
+//! ([`WaitMode::for_ranks`]).
 //!
 //! The one behavioral change from the pre-trait fabric: a deposit to a
 //! terminated rank returns [`TransportError::Closed`] instead of
@@ -13,26 +14,25 @@
 //! [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable)
 //! exactly like it does on the remote backends.
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::sync::Arc;
+
+use cartcomm_obs::Obs;
 
 use super::{Transport, TransportError, TransportKind, TransportResult};
 use crate::envelope::Envelope;
+use crate::inbox::{inbox, Inbox, InboxSender, WaitMode};
 
-/// Channel-per-rank transport; all ranks share the process.
+/// Inbox-per-rank transport; all ranks share the process.
 pub struct InProcTransport {
-    senders: Vec<Sender<Envelope>>,
+    senders: Vec<InboxSender>,
 }
 
 impl InProcTransport {
-    /// Build the channels and hand back the per-rank receiving ends.
-    pub fn new(p: usize) -> (InProcTransport, Vec<Receiver<Envelope>>) {
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+    /// Build one inbox per rank (`obs[r]` counts rank `r`'s waits) and
+    /// hand back the receiving ends.
+    pub fn new(obs: &[Arc<Obs>]) -> (InProcTransport, Vec<Inbox>) {
+        let mode = WaitMode::for_ranks(obs.len());
+        let (senders, receivers) = obs.iter().map(|o| inbox(mode, Arc::clone(o))).unzip();
         (InProcTransport { senders }, receivers)
     }
 }
@@ -49,13 +49,13 @@ impl Transport for InProcTransport {
     #[inline]
     fn deposit(&self, dst: usize, env: Envelope) -> TransportResult<()> {
         self.senders[dst]
-            .send(env)
+            .deposit(env)
             .map_err(|_| TransportError::Closed { peer: dst })
     }
 
     #[inline]
     fn poll(&self, _rank: usize) -> TransportResult<()> {
-        Ok(()) // a channel send is delivery; nothing to progress
+        Ok(()) // a deposit is delivery; nothing to progress
     }
 
     #[inline]
@@ -64,8 +64,8 @@ impl Transport for InProcTransport {
     }
 
     fn shutdown(&self, _rank: usize) {
-        // Endpoint lifetime is the receiver's lifetime; dropping the
-        // rank's `Comm` (and with it the Receiver) is the shutdown.
+        // Endpoint lifetime is the inbox's lifetime; dropping the
+        // rank's `Comm` (and with it the inbox) is the shutdown.
     }
 
     fn in_process(&self) -> bool {
@@ -77,9 +77,13 @@ impl Transport for InProcTransport {
 mod tests {
     use super::*;
 
+    fn obs(p: usize) -> Vec<Arc<Obs>> {
+        (0..p).map(|_| Arc::new(Obs::new())).collect()
+    }
+
     #[test]
     fn deposits_route_and_preserve_fifo() {
-        let (t, rxs) = InProcTransport::new(2);
+        let (t, rxs) = InProcTransport::new(&obs(2));
         assert_eq!(t.size(), 2);
         assert_eq!(t.kind(), TransportKind::InProcess);
         assert!(t.in_process());
@@ -89,12 +93,12 @@ mod tests {
         for i in 0..10u8 {
             assert_eq!(rxs[1].try_recv().unwrap().data, vec![i]);
         }
-        assert!(rxs[0].try_recv().is_err());
+        assert!(rxs[0].try_recv().is_none());
     }
 
     #[test]
     fn deposit_to_dropped_endpoint_errors() {
-        let (t, rxs) = InProcTransport::new(2);
+        let (t, rxs) = InProcTransport::new(&obs(2));
         drop(rxs);
         let err = t.deposit(1, Envelope::new(0, 0, 0, vec![1u8])).unwrap_err();
         assert_eq!(err, TransportError::Closed { peer: 1 });

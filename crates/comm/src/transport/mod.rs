@@ -6,15 +6,15 @@
 //! on that identity, so envelope delivery now sits behind a trait with
 //! three backends:
 //!
-//! * [`inproc::InProcTransport`] — the original one-channel-per-rank
-//!   fabric. The zero-regression fast path: a deposit is one channel
-//!   send, payloads stay as [`PooledBuf`](crate::pool::PooledBuf)s and
+//! * [`inproc::InProcTransport`] — the original one-inbox-per-rank
+//!   fabric. The zero-regression fast path: a deposit is one inbox
+//!   push, payloads stay as [`PooledBuf`](crate::pool::PooledBuf)s and
 //!   retarget to the receiver's pool, nothing is serialized.
 //! * [`shm::ShmTransport`] — one memory-mapped byte ring per directed
 //!   link in a single shared file, for multi-process single-host
 //!   universes ([`Universe::spawn_processes`](crate::Universe::spawn_processes)).
 //!   Envelopes cross the wire format of [`wire`]; a progress thread per
-//!   local rank drains the rank's inbound rings into its channel.
+//!   local rank drains the rank's inbound rings into its inbox.
 //! * [`socket::SocketTransport`] — length-prefixed frames over blocking
 //!   Unix-domain or TCP sockets (std only), one full-duplex stream per
 //!   ordered rank pair and a dedicated progress thread per rank
@@ -61,7 +61,7 @@ use crate::envelope::Envelope;
 /// runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// One in-process channel per rank; threads-as-ranks. The default
+    /// One in-process inbox per rank; threads-as-ranks. The default
     /// and the fast path.
     #[default]
     InProcess,
@@ -111,7 +111,7 @@ impl fmt::Display for TransportKind {
 /// silent" uniformly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
-    /// The peer's endpoint is gone (rank terminated, channel or stream
+    /// The peer's endpoint is gone (rank terminated, inbox or stream
     /// closed).
     Closed {
         /// Rank whose endpoint is closed.

@@ -15,7 +15,7 @@
 //! Each *local* rank gets a dedicated progress thread that sweeps its
 //! `p` inbound rings, reassembles frames, and delivers decoded
 //! envelopes (payloads allocated from the rank's wire pool) into the
-//! rank's in-memory channel — the receive paths of `Comm` are byte-for-
+//! rank's inbox — the receive paths of `Comm` are byte-for-
 //! byte the same as on the in-process backend.
 //!
 //! Producer-side discipline: only rank `src`'s process ever writes ring
@@ -33,13 +33,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use cartcomm_obs::Obs;
 use cartcomm_types::kernel;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use super::mmap::SharedMap;
 use super::{wire, Transport, TransportError, TransportKind, TransportResult};
 use crate::envelope::Envelope;
+use crate::inbox::{inbox, Inbox, InboxSender, WaitMode};
 use crate::pool::WirePool;
 
 /// Bytes per directed-link region (cursors + data).
@@ -56,8 +57,8 @@ const STALL_TIMEOUT: Duration = Duration::from_secs(1);
 const IDLE_NAP: Duration = Duration::from_micros(40);
 
 /// The local endpoints [`ShmTransport::attach`] hands back: one
-/// `(rank, receiver)` pair per rank hosted in this process.
-pub type ShmEndpoints = Vec<(usize, Receiver<Envelope>)>;
+/// `(rank, inbox)` pair per rank hosted in this process.
+pub type ShmEndpoints = Vec<(usize, Inbox)>;
 
 /// Unique-enough scratch names for thread-mode universes (no wall-clock
 /// entropy needed: pid + a process-wide counter).
@@ -200,8 +201,9 @@ impl ShmTransport {
     }
 
     /// Map an existing backing file and bring up progress threads for
-    /// `local_ranks`. Returns one `(rank, receiver)` endpoint per local
-    /// rank. `pools[r]` supplies decode buffers for local rank `r`.
+    /// `local_ranks`. Returns one `(rank, inbox)` endpoint per local
+    /// rank. `pools[r]` supplies decode buffers for local rank `r`;
+    /// `obs[r]` counts its inbox waits.
     ///
     /// `own_file` transfers cleanup responsibility: the instance that
     /// created the file removes it on drop.
@@ -210,10 +212,12 @@ impl ShmTransport {
         p: usize,
         local_ranks: &[usize],
         pools: &[Arc<WirePool>],
+        obs: &[Arc<Obs>],
         own_file: bool,
     ) -> io::Result<(ShmTransport, ShmEndpoints)> {
         assert!(p > 0, "universe needs at least one rank");
         assert_eq!(pools.len(), p, "one pool per rank");
+        assert_eq!(obs.len(), p, "one obs handle per rank");
         let file = File::options().read(true).write(true).open(path)?;
         if file.metadata()?.len() < Self::file_len(p) {
             return Err(io::Error::new(
@@ -228,7 +232,7 @@ impl ShmTransport {
         let mut endpoints = Vec::with_capacity(local_ranks.len());
         for &rank in local_ranks {
             assert!(rank < p, "local rank out of range");
-            let (tx, rx) = unbounded();
+            let (tx, rx) = inbox(WaitMode::Park, Arc::clone(&obs[rank]));
             let stop = Arc::new(AtomicBool::new(false));
             stops[rank] = Some(Arc::clone(&stop));
             threads.push(Some(Self::spawn_progress(
@@ -259,11 +263,12 @@ impl ShmTransport {
     pub fn for_threads(
         p: usize,
         pools: &[Arc<WirePool>],
-    ) -> io::Result<(ShmTransport, Vec<Receiver<Envelope>>)> {
+        obs: &[Arc<Obs>],
+    ) -> io::Result<(ShmTransport, Vec<Inbox>)> {
         let path = scratch_path();
         Self::create_file(&path, p)?;
         let local: Vec<usize> = (0..p).collect();
-        let (t, endpoints) = Self::attach(&path, p, &local, pools, true)?;
+        let (t, endpoints) = Self::attach(&path, p, &local, pools, obs, true)?;
         Ok((t, endpoints.into_iter().map(|(_, rx)| rx).collect()))
     }
 
@@ -274,7 +279,7 @@ impl ShmTransport {
         p: usize,
         rank: usize,
         pool: Arc<WirePool>,
-        tx: Sender<Envelope>,
+        tx: InboxSender,
         stop: Arc<AtomicBool>,
     ) -> JoinHandle<()> {
         std::thread::Builder::new()
@@ -293,7 +298,7 @@ impl ShmTransport {
                             // A dropped endpoint (rank program finished)
                             // turns delivery into draining: keep the ring
                             // moving so peers never stall on a full ring.
-                            let _ = tx.send(env);
+                            let _ = tx.deposit(env);
                         }
                         if cursor > 0 {
                             buf.drain(..cursor);
@@ -367,9 +372,13 @@ mod tests {
         (0..p).map(|_| Arc::new(WirePool::new())).collect()
     }
 
+    fn obs(p: usize) -> Vec<Arc<Obs>> {
+        (0..p).map(|_| Arc::new(Obs::new())).collect()
+    }
+
     #[test]
     fn deposits_cross_the_ring_in_order() {
-        let (t, rxs) = ShmTransport::for_threads(2, &pools(2)).unwrap();
+        let (t, rxs) = ShmTransport::for_threads(2, &pools(2), &obs(2)).unwrap();
         for i in 0..50u8 {
             t.deposit(1, Envelope::new(0, 0, 7, vec![i; 3])).unwrap();
         }
@@ -386,7 +395,7 @@ mod tests {
 
     #[test]
     fn frames_larger_than_the_ring_stream_through() {
-        let (t, rxs) = ShmTransport::for_threads(2, &pools(2)).unwrap();
+        let (t, rxs) = ShmTransport::for_threads(2, &pools(2), &obs(2)).unwrap();
         let big = vec![0xCDu8; RING_BYTES + 10_000];
         let expect = big.clone();
         t.deposit(1, Envelope::new(0, 0, 1, big)).unwrap();
@@ -397,7 +406,7 @@ mod tests {
 
     #[test]
     fn self_deposit_loops_back() {
-        let (t, rxs) = ShmTransport::for_threads(1, &pools(1)).unwrap();
+        let (t, rxs) = ShmTransport::for_threads(1, &pools(1), &obs(1)).unwrap();
         t.deposit(0, Envelope::new(0, 0, 9, vec![42u8])).unwrap();
         assert_eq!(rxs[0].recv().unwrap().data, vec![42u8]);
     }
@@ -408,7 +417,8 @@ mod tests {
         ShmTransport::create_file(&path, 2).unwrap();
         {
             let local = [0usize, 1];
-            let (_t, _rx) = ShmTransport::attach(&path, 2, &local, &pools(2), true).unwrap();
+            let (_t, _rx) =
+                ShmTransport::attach(&path, 2, &local, &pools(2), &obs(2), true).unwrap();
             assert!(path.exists());
         }
         assert!(!path.exists(), "owner must clean up the backing file");
@@ -420,7 +430,7 @@ mod tests {
         // drain: filling one past the stall timeout must error, not hang.
         let path = scratch_path();
         ShmTransport::create_file(&path, 2).unwrap();
-        let (t, _rx) = ShmTransport::attach(&path, 2, &[0], &pools(2), true).unwrap();
+        let (t, _rx) = ShmTransport::attach(&path, 2, &[0], &pools(2), &obs(2), true).unwrap();
         let chunk = vec![0u8; RING_BYTES / 2];
         let mut result = Ok(());
         for _ in 0..4 {

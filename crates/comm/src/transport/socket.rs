@@ -8,8 +8,8 @@
 //! owns the rank's listener, accepts the `p - 1` inbound streams (each
 //! opens with a 4-byte hello naming the connecting rank), then
 //! multiplexes them non-blockingly: read, reassemble frames, decode with
-//! the rank's wire pool, deliver into the rank's channel. Deposits to
-//! self skip the kernel and go straight to the local channel.
+//! the rank's wire pool, deliver into the rank's inbox. Deposits to
+//! self skip the kernel and go straight to the local inbox.
 //!
 //! Connection setup is deadlock-free by construction: every listener is
 //! bound (with backlog) before any progress thread spawns, and the
@@ -31,11 +31,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use cartcomm_obs::Obs;
 use parking_lot::Mutex;
 
 use super::{wire, Transport, TransportError, TransportKind, TransportResult};
 use crate::envelope::Envelope;
+use crate::inbox::{inbox, Inbox, InboxSender, WaitMode};
 use crate::pool::WirePool;
 
 /// Nap between empty sweeps of a rank's inbound streams.
@@ -130,7 +131,7 @@ pub struct SocketTransport {
     /// `None` on the diagonal and after a write poisons the stream.
     out: Vec<Mutex<Option<Stream>>>,
     /// Per-rank local delivery for self-sends.
-    local_tx: Vec<Sender<Envelope>>,
+    local_tx: Vec<InboxSender>,
     stops: Vec<Arc<AtomicBool>>,
     threads: Mutex<Vec<Option<JoinHandle<()>>>>,
     /// Socket-file directory to remove on drop (UDS only).
@@ -143,8 +144,9 @@ impl SocketTransport {
     pub fn uds(
         p: usize,
         pools: &[Arc<WirePool>],
-    ) -> io::Result<(SocketTransport, Vec<Receiver<Envelope>>)> {
-        Self::mesh(TransportKind::Uds, p, pools)
+        obs: &[Arc<Obs>],
+    ) -> io::Result<(SocketTransport, Vec<Inbox>)> {
+        Self::mesh(TransportKind::Uds, p, pools, obs)
     }
 
     /// Loopback-TCP flavor; every rank listens on an ephemeral
@@ -152,17 +154,20 @@ impl SocketTransport {
     pub fn tcp(
         p: usize,
         pools: &[Arc<WirePool>],
-    ) -> io::Result<(SocketTransport, Vec<Receiver<Envelope>>)> {
-        Self::mesh(TransportKind::Tcp, p, pools)
+        obs: &[Arc<Obs>],
+    ) -> io::Result<(SocketTransport, Vec<Inbox>)> {
+        Self::mesh(TransportKind::Tcp, p, pools, obs)
     }
 
     fn mesh(
         kind: TransportKind,
         p: usize,
         pools: &[Arc<WirePool>],
-    ) -> io::Result<(SocketTransport, Vec<Receiver<Envelope>>)> {
+        obs: &[Arc<Obs>],
+    ) -> io::Result<(SocketTransport, Vec<Inbox>)> {
         assert!(p > 0, "universe needs at least one rank");
         assert_eq!(pools.len(), p, "one pool per rank");
+        assert_eq!(obs.len(), p, "one obs handle per rank");
 
         // 1. Bind every rank's listener before anything connects.
         let uds_dir = match kind {
@@ -202,7 +207,7 @@ impl SocketTransport {
         let mut stops = Vec::with_capacity(p);
         let mut threads = Vec::with_capacity(p);
         for (rank, listener) in listeners.into_iter().enumerate() {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = inbox(WaitMode::Park, Arc::clone(&obs[rank]));
             let stop = Arc::new(AtomicBool::new(false));
             threads.push(Some(Self::spawn_progress(
                 listener,
@@ -264,7 +269,7 @@ impl SocketTransport {
         p: usize,
         rank: usize,
         pool: Arc<WirePool>,
-        tx: Sender<Envelope>,
+        tx: InboxSender,
         stop: Arc<AtomicBool>,
     ) -> JoinHandle<()> {
         std::thread::Builder::new()
@@ -321,7 +326,7 @@ impl SocketTransport {
                         while let Some((env, used)) = wire::decode_from(&acc[cursor..], &pool) {
                             cursor += used;
                             // Dropped endpoint ⇒ drain mode, same as shm.
-                            let _ = tx.send(env);
+                            let _ = tx.deposit(env);
                         }
                         if cursor > 0 {
                             acc.drain(..cursor);
@@ -348,7 +353,7 @@ impl Transport for SocketTransport {
     fn deposit(&self, dst: usize, env: Envelope) -> TransportResult<()> {
         if env.src == dst {
             return self.local_tx[dst]
-                .send(env)
+                .deposit(env)
                 .map_err(|_| TransportError::Closed { peer: dst });
         }
         let mut frame = Vec::with_capacity(wire::HEADER_BYTES + env.data.len());
@@ -407,7 +412,11 @@ mod tests {
         (0..p).map(|_| Arc::new(WirePool::new())).collect()
     }
 
-    fn exercise(t: &SocketTransport, rxs: &[Receiver<Envelope>]) {
+    fn obs(p: usize) -> Vec<Arc<Obs>> {
+        (0..p).map(|_| Arc::new(Obs::new())).collect()
+    }
+
+    fn exercise(t: &SocketTransport, rxs: &[Inbox]) {
         // Cross-rank FIFO per link, plus a self-send.
         for i in 0..20u8 {
             t.deposit(1, Envelope::new(0, 0, 5, vec![i; 8])).unwrap();
@@ -423,7 +432,7 @@ mod tests {
 
     #[test]
     fn uds_mesh_delivers_in_order() {
-        let (t, rxs) = SocketTransport::uds(3, &pools(3)).unwrap();
+        let (t, rxs) = SocketTransport::uds(3, &pools(3), &obs(3)).unwrap();
         assert_eq!(t.kind(), TransportKind::Uds);
         assert!(!t.in_process());
         exercise(&t, &rxs);
@@ -431,14 +440,14 @@ mod tests {
 
     #[test]
     fn tcp_mesh_delivers_in_order() {
-        let (t, rxs) = SocketTransport::tcp(3, &pools(3)).unwrap();
+        let (t, rxs) = SocketTransport::tcp(3, &pools(3), &obs(3)).unwrap();
         assert_eq!(t.kind(), TransportKind::Tcp);
         exercise(&t, &rxs);
     }
 
     #[test]
     fn large_payload_crosses_the_stream() {
-        let (t, rxs) = SocketTransport::uds(2, &pools(2)).unwrap();
+        let (t, rxs) = SocketTransport::uds(2, &pools(2), &obs(2)).unwrap();
         let big = vec![0x5Au8; 1 << 20];
         t.deposit(1, Envelope::new(0, 0, 1, big.clone())).unwrap();
         let env = rxs[1].recv().unwrap();
@@ -448,7 +457,7 @@ mod tests {
     #[test]
     fn uds_scratch_dir_is_removed_on_drop() {
         let dir = {
-            let (t, _rx) = SocketTransport::uds(2, &pools(2)).unwrap();
+            let (t, _rx) = SocketTransport::uds(2, &pools(2), &obs(2)).unwrap();
             let dir = t.uds_dir.clone().unwrap();
             assert!(dir.exists());
             dir
@@ -458,7 +467,7 @@ mod tests {
 
     #[test]
     fn single_rank_universe_works() {
-        let (t, rxs) = SocketTransport::tcp(1, &pools(1)).unwrap();
+        let (t, rxs) = SocketTransport::tcp(1, &pools(1), &obs(1)).unwrap();
         t.deposit(0, Envelope::new(0, 0, 0, vec![1u8])).unwrap();
         assert_eq!(rxs[0].recv().unwrap().data, vec![1u8]);
     }

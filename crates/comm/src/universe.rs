@@ -22,6 +22,7 @@ use cartcomm_obs::{MonotonicClock, RingBufferSink, TraceRecord};
 use crate::comm::Comm;
 use crate::fabric::Fabric;
 use crate::fault::FaultSpec;
+use crate::inbox::Inbox;
 use crate::transport::shm::ShmTransport;
 use crate::transport::TransportKind;
 
@@ -101,7 +102,7 @@ pub struct ProfiledRunConfig {
 }
 
 impl RunConfig {
-    /// Select the transport backend (default: in-process channels). The
+    /// Select the transport backend (default: in-process inboxes). The
     /// in-process backend never fails to construct; the shared-memory and
     /// socket backends touch the filesystem or network stack and may —
     /// use [`RunConfig::try_run`] to observe the error.
@@ -241,26 +242,22 @@ impl ProfiledRunConfig {
 }
 
 /// Carrier pairing a constructed fabric with its unclaimed per-rank
-/// receive endpoints, so the launch core can hand each spawned thread its
-/// endpoint regardless of which configuration path built the fabric.
+/// inboxes, so the launch core can hand each spawned thread its inbox
+/// regardless of which configuration path built the fabric.
 struct FabricWithReceivers {
     fabric: Arc<Fabric>,
-    receivers:
-        std::sync::Mutex<Vec<Option<crossbeam_channel::Receiver<crate::envelope::Envelope>>>>,
+    receivers: std::sync::Mutex<Vec<Option<Inbox>>>,
 }
 
 impl FabricWithReceivers {
-    fn bundle(
-        fabric: Fabric,
-        receivers: Vec<crossbeam_channel::Receiver<crate::envelope::Envelope>>,
-    ) -> Self {
+    fn bundle(fabric: Fabric, receivers: Vec<Inbox>) -> Self {
         FabricWithReceivers {
             fabric: Arc::new(fabric),
             receivers: std::sync::Mutex::new(receivers.into_iter().map(Some).collect()),
         }
     }
 
-    fn claim(&self, rank: usize) -> crossbeam_channel::Receiver<crate::envelope::Envelope> {
+    fn claim(&self, rank: usize) -> Inbox {
         self.receivers.lock().expect("receiver registry poisoned")[rank]
             .take()
             .expect("rank endpoint claimed twice")

@@ -41,6 +41,9 @@ pub struct MetricsRegistry {
     faults_injected: AtomicU64,
     retransmits: AtomicU64,
     dup_drops: AtomicU64,
+    inbox_spin_hits: AtomicU64,
+    inbox_parks: AtomicU64,
+    inbox_wakes: AtomicU64,
     /// Round latency, recorded as `log10(ns)`. Tracing-gated.
     round_latency_log10_ns: Mutex<Histogram>,
     /// Matched-message size, recorded as `log2(bytes + 1)`. Tracing-gated.
@@ -66,6 +69,9 @@ impl MetricsRegistry {
             faults_injected: AtomicU64::new(0),
             retransmits: AtomicU64::new(0),
             dup_drops: AtomicU64::new(0),
+            inbox_spin_hits: AtomicU64::new(0),
+            inbox_parks: AtomicU64::new(0),
+            inbox_wakes: AtomicU64::new(0),
             round_latency_log10_ns: Mutex::new(Histogram::new(0.0, 10.0, LATENCY_LOG10_BINS)),
             msg_size_log2_bytes: Mutex::new(Histogram::new(0.0, 32.0, SIZE_LOG2_BINS)),
         }
@@ -155,6 +161,25 @@ impl MetricsRegistry {
         self.dup_drops.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// A receive on this rank's inbox found a message while spinning,
+    /// without parking.
+    #[inline]
+    pub fn inbox_spin_hit(&self) {
+        self.inbox_spin_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A receive on this rank's inbox parked its thread.
+    #[inline]
+    pub fn inbox_park(&self) {
+        self.inbox_parks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A deposit woke this rank's parked receive (one OS wake-up).
+    #[inline]
+    pub fn inbox_wake(&self) {
+        self.inbox_wakes.fetch_add(1, Ordering::Relaxed);
+    }
+
     // ----- tracing-gated distributions -------------------------------------
 
     /// Record one round latency (callers gate on tracing being enabled).
@@ -201,6 +226,9 @@ impl MetricsRegistry {
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             retransmits: self.retransmits.load(Ordering::Relaxed),
             dup_drops: self.dup_drops.load(Ordering::Relaxed),
+            inbox_spin_hits: self.inbox_spin_hits.load(Ordering::Relaxed),
+            inbox_parks: self.inbox_parks.load(Ordering::Relaxed),
+            inbox_wakes: self.inbox_wakes.load(Ordering::Relaxed),
         }
     }
 
@@ -229,6 +257,9 @@ impl MetricsRegistry {
         self.faults_injected.store(0, Ordering::Relaxed);
         self.retransmits.store(0, Ordering::Relaxed);
         self.dup_drops.store(0, Ordering::Relaxed);
+        self.inbox_spin_hits.store(0, Ordering::Relaxed);
+        self.inbox_parks.store(0, Ordering::Relaxed);
+        self.inbox_wakes.store(0, Ordering::Relaxed);
     }
 }
 
@@ -279,6 +310,12 @@ pub struct MetricsSnapshot {
     pub retransmits: u64,
     /// Duplicate sequenced envelopes absorbed by the dedup window.
     pub dup_drops: u64,
+    /// Inbox receives satisfied while spinning (no park, no wake-up).
+    pub inbox_spin_hits: u64,
+    /// Inbox receives that parked the rank's thread.
+    pub inbox_parks: u64,
+    /// OS wake-ups deposits paid to unpark this rank (at most one per park).
+    pub inbox_wakes: u64,
 }
 
 impl MetricsSnapshot {
@@ -305,12 +342,15 @@ impl MetricsSnapshot {
             faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
             retransmits: self.retransmits.saturating_sub(earlier.retransmits),
             dup_drops: self.dup_drops.saturating_sub(earlier.dup_drops),
+            inbox_spin_hits: self.inbox_spin_hits.saturating_sub(earlier.inbox_spin_hits),
+            inbox_parks: self.inbox_parks.saturating_sub(earlier.inbox_parks),
+            inbox_wakes: self.inbox_wakes.saturating_sub(earlier.inbox_wakes),
         }
     }
 
     /// The counters as `(name, value)` pairs in a stable order (drives
     /// the exporters).
-    pub fn fields(&self) -> [(&'static str, u64); 15] {
+    pub fn fields(&self) -> [(&'static str, u64); 18] {
         [
             ("rounds_started", self.rounds_started),
             ("rounds_completed", self.rounds_completed),
@@ -327,6 +367,9 @@ impl MetricsSnapshot {
             ("faults_injected", self.faults_injected),
             ("retransmits", self.retransmits),
             ("dup_drops", self.dup_drops),
+            ("inbox_spin_hits", self.inbox_spin_hits),
+            ("inbox_parks", self.inbox_parks),
+            ("inbox_wakes", self.inbox_wakes),
         ]
     }
 
@@ -361,6 +404,9 @@ impl std::ops::AddAssign for MetricsSnapshot {
         self.faults_injected = self.faults_injected.saturating_add(rhs.faults_injected);
         self.retransmits = self.retransmits.saturating_add(rhs.retransmits);
         self.dup_drops = self.dup_drops.saturating_add(rhs.dup_drops);
+        self.inbox_spin_hits = self.inbox_spin_hits.saturating_add(rhs.inbox_spin_hits);
+        self.inbox_parks = self.inbox_parks.saturating_add(rhs.inbox_parks);
+        self.inbox_wakes = self.inbox_wakes.saturating_add(rhs.inbox_wakes);
     }
 }
 
@@ -496,7 +542,7 @@ mod tests {
         m.round_completed();
         let s = m.snapshot();
         let table = format!("{s}");
-        assert_eq!(table.lines().count(), 15);
+        assert_eq!(table.lines().count(), 18);
         assert!(table.contains("rounds_completed"));
         let json = s.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -145,6 +145,11 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last sender: wake blocked receivers so they observe disconnect.
+            // Notify under the queue lock: `recv`/`recv_timeout` read
+            // `senders` and start waiting under that lock, so a receiver
+            // either sees the count at zero or is already waiting when the
+            // notification fires — never in between.
+            let _q = self.shared.queue.lock().unwrap_or_else(|p| p.into_inner());
             self.shared.avail.notify_all();
         }
     }
@@ -322,6 +327,45 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         tx.send(42).unwrap();
         assert_eq!(h.join().unwrap(), 42);
+    }
+
+    /// Runs `wait` on a fresh channel in a thread while the only sender
+    /// drops, many times over; every wait must end with a disconnect
+    /// within the join timeout (a lost wake-up leaves it blocked).
+    fn last_sender_drop_always_wakes<R: Send + 'static>(
+        wait: fn(&Receiver<u8>) -> R,
+        disconnected: fn(&R) -> bool,
+    ) {
+        use std::time::Duration;
+        for round in 0..2_000 {
+            let (tx, rx) = unbounded::<u8>();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = done_tx.send(disconnected(&wait(&rx)));
+            });
+            if round % 2 == 0 {
+                std::thread::yield_now();
+            }
+            drop(tx);
+            match done_rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(true) => {}
+                Ok(false) => panic!("round {round}: receive did not report a disconnect"),
+                Err(_) => panic!("round {round}: receiver missed the last sender's drop"),
+            }
+        }
+    }
+
+    #[test]
+    fn recv_wakes_when_last_sender_drops() {
+        last_sender_drop_always_wakes(|rx| rx.recv(), |r| *r == Err(RecvError));
+    }
+
+    #[test]
+    fn recv_timeout_wakes_when_last_sender_drops() {
+        last_sender_drop_always_wakes(
+            |rx| rx.recv_timeout(std::time::Duration::from_secs(60)),
+            |r| *r == Err(RecvTimeoutError::Disconnected),
+        );
     }
 
     #[test]
